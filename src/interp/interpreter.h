@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,19 +64,24 @@ struct ExecResult {
   int64_t output_bytes = 0;
 };
 
-/// A tree-walking interpreter for the Java subset. One instance wraps one
-/// compilation unit; methods of the unit can call each other. "Files" opened
+/// The interpreter for the Java subset. One instance wraps one compilation
+/// unit; methods of the unit can call each other. The first Call lowers
+/// every method once into a slot-resolved form (DESIGN.md §3e) that later
+/// calls reuse, so a suite's tests share one lowering. "Files" opened
 /// through `new Scanner(new File(name))` are resolved against `files`, an
 /// in-memory name -> contents map (the simulation of summer_olympics.txt).
 ///
 /// Supported built-ins: System.out.print/println, Math.{pow,abs,sqrt,floor,
-/// ceil,log,log10,max,min}, Integer.parseInt, String.equals/length/charAt,
-/// Scanner.{hasNext,hasNextInt,next,nextInt,nextDouble,nextLine,close}.
+/// ceil,log,log10,max,min}, Integer.parseInt, String.equals/length/charAt/
+/// isEmpty, Scanner.{hasNext,hasNextInt,next,nextInt,nextDouble,close}.
+///
+/// One instance serves one thread at a time. Arguments are deep-copied on
+/// entry, so a program never writes into the caller's arrays.
 class Interpreter {
  public:
   explicit Interpreter(const java::CompilationUnit& unit,
-                       std::map<std::string, std::string> files = {})
-      : unit_(unit), files_(std::move(files)) {}
+                       std::map<std::string, std::string> files = {});
+  ~Interpreter();
 
   Interpreter(const Interpreter&) = delete;
   Interpreter& operator=(const Interpreter&) = delete;
@@ -91,8 +97,11 @@ class Interpreter {
                           const ExecOptions& options = ExecOptions());
 
  private:
+  struct Lowered;
+
   const java::CompilationUnit& unit_;
   std::map<std::string, std::string> files_;
+  std::unique_ptr<Lowered> lowered_;  ///< Built by the first Call.
 };
 
 /// Splits file contents into whitespace-separated Scanner tokens.
