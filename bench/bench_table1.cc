@@ -14,9 +14,10 @@
 // --json=FILE additionally writes the Table I metrics as a machine-readable
 // report (schema jfeed-bench-table1-v1): per-assignment coverage counters
 // (space, sampled, evaluated, parse failures, discrepancies — deterministic
-// for a fixed --samples) plus wall times (runner-dependent, reported for
-// trend only). tools/compare_bench.py gates the deterministic fields
-// against bench/baselines/BENCH_table1.json in CI.
+// for a fixed --samples), the exact interpreter step count of the
+// functional stage, plus wall times and ns per step (runner-dependent,
+// reported for trend only). tools/compare_bench.py gates the deterministic
+// fields against bench/baselines/BENCH_table1.json in CI.
 
 #include <chrono>
 #include <cinttypes>
@@ -68,6 +69,11 @@ struct Row {
   uint64_t sampled = 0;  ///< Indexes drawn (evaluated + parse failures).
   uint64_t evaluated = 0;
   uint64_t parse_failures = 0;
+  /// Interpreter steps of the functional stage: the steps of completed
+  /// tests plus max_steps for each test that exhausted a budget (the cost
+  /// ledger's definition; a failed call reports no steps of its own).
+  uint64_t interp_steps = 0;
+  double ns_per_step = 0;  ///< Functional wall time per step (trend only).
   int paper_d = 0;
   double wall_ms = 0;  ///< Whole-assignment evaluation wall time.
 };
@@ -122,6 +128,10 @@ Row EvaluateAssignment(const jfeed::kb::Assignment& assignment,
     testing::FunctionalVerdict verdict =
         testing::RunSuite(*unit, assignment.suite, *expected);
     total_functional_us += MicrosSince(t0);
+    row.interp_steps += static_cast<uint64_t>(
+        verdict.interp_steps +
+        int64_t{verdict.timeouts + verdict.resource_exhausted} *
+            assignment.suite.exec_options.max_steps);
 
     Clock::time_point t1 = Clock::now();
     auto feedback = core::MatchSubmission(assignment.spec, *unit);
@@ -138,6 +148,9 @@ Row EvaluateAssignment(const jfeed::kb::Assignment& assignment,
     row.avg_loc = total_loc / row.evaluated;
     row.avg_functional_us = total_functional_us / row.evaluated;
     row.avg_match_us = total_match_us / row.evaluated;
+  }
+  if (row.interp_steps > 0) {
+    row.ns_per_step = total_functional_us * 1000.0 / row.interp_steps;
   }
   return row;
 }
@@ -165,13 +178,16 @@ void WriteJsonReport(const char* path, uint64_t samples,
         << ", \"evaluated\": " << row.evaluated
         << ", \"parse_failures\": " << row.parse_failures
         << ", \"discrepancies\": " << row.discrepancies
-        << ", \"paper_discrepancies\": " << row.paper_d;
+        << ", \"paper_discrepancies\": " << row.paper_d
+        << ", \"interp_steps\": " << row.interp_steps;
     std::snprintf(buf, sizeof(buf), "%.2f", row.avg_loc);
     out << ", \"avg_loc\": " << buf;
     std::snprintf(buf, sizeof(buf), "%.1f", row.avg_functional_us);
     out << ", \"avg_functional_us\": " << buf;
     std::snprintf(buf, sizeof(buf), "%.1f", row.avg_match_us);
     out << ", \"avg_match_us\": " << buf;
+    std::snprintf(buf, sizeof(buf), "%.2f", row.ns_per_step);
+    out << ", \"ns_per_step\": " << buf;
     std::snprintf(buf, sizeof(buf), "%.1f", row.wall_ms);
     out << ", \"wall_ms\": " << buf << "}";
     out << (i + 1 < rows.size() ? ",\n" : "\n");
@@ -207,8 +223,9 @@ int main(int argc, char** argv) {
       "Table I reproduction (samples per assignment: %" PRIu64 ")\n\n",
       samples);
   std::printf(
-      "%-18s %10s %6s %9s %3s %3s %9s %10s %10s %8s\n", "Assignment", "S",
-      "L", "T(us)", "P", "C", "M(us)", "D(sample)", "D(est)", "D(paper)");
+      "%-18s %10s %6s %9s %3s %3s %9s %10s %10s %8s %12s %7s\n",
+      "Assignment", "S", "L", "T(us)", "P", "C", "M(us)", "D(sample)",
+      "D(est)", "D(paper)", "steps", "ns/step");
 
   double total_match = 0;
   double total_functional = 0;
@@ -221,10 +238,11 @@ int main(int argc, char** argv) {
                        : 0;
     std::printf(
         "%-18s %10" PRIu64 " %6.2f %9.1f %3zu %3zu %9.1f %10" PRIu64
-        " %10.0f %8d\n",
+        " %10.0f %8d %12" PRIu64 " %7.2f\n",
         row.id.c_str(), row.space, row.avg_loc, row.avg_functional_us,
         row.patterns, row.constraints, row.avg_match_us, row.discrepancies,
-        row.discrepancies * scale, row.paper_d);
+        row.discrepancies * scale, row.paper_d, row.interp_steps,
+        row.ns_per_step);
     total_match += row.avg_match_us;
     total_functional += row.avg_functional_us;
     total_wall_ms += row.wall_ms;

@@ -10,8 +10,10 @@ field:
       (wall times are runner-dependent and ignored).
   jfeed-bench-table1-v1     (bench_table1) — the Table I coverage counters
       (space, sampled, evaluated, parse failures, discrepancies per
-      assignment); deterministic for a fixed --samples, so they must match
-      the baseline exactly. Wall times are reported for trend only.
+      assignment) and the functional stage's interpreter step count
+      (interp_steps); deterministic for a fixed --samples, so they must
+      match the baseline exactly. Wall times and ns_per_step are reported
+      for trend only.
   jfeed-bench-loadgen-v1    (jfeed_loadgen) — the deadline-spike load
       replay against a multi-tenant jfeedd. Hard gates: transport errors
       must be zero, every scheduled submission sent, and the overall shed
@@ -171,9 +173,13 @@ def compare_matching(baseline, current, args):
 
 
 # Per-assignment Table I counters that are deterministic for a fixed
-# --samples and must therefore match the baseline exactly.
+# --samples and must therefore match the baseline exactly. interp_steps is
+# the interpreter's step accounting over the functional stage (steps of
+# completed tests plus max_steps per exhausted test): an interpreter change
+# that moves it changes which programs exhaust their budget.
 TABLE1_EXACT_FIELDS = ("space", "patterns", "constraints", "sampled",
-                       "evaluated", "parse_failures", "discrepancies")
+                       "evaluated", "parse_failures", "discrepancies",
+                       "interp_steps")
 
 
 def compare_table1(baseline, current, args):
@@ -207,20 +213,29 @@ def compare_table1(baseline, current, args):
                      f"'wall_ms' should be a number but is "
                      f"{type(wall).__name__} {wall!r} (schema drift — "
                      f"regenerate the file)")
+        ns_per_step = a.get("ns_per_step")
+        trend = f"wall {wall:.1f} ms"
+        if isinstance(ns_per_step, (int, float)) and \
+                not isinstance(ns_per_step, bool):
+            base_ns = b.get("ns_per_step")
+            trend += f", {ns_per_step:.2f} ns/step"
+            if isinstance(base_ns, (int, float)) and base_ns > 0:
+                trend += f" (baseline {base_ns:.2f})"
         if diffs:
             print(f"{aid:40s} DRIFT: {'; '.join(diffs)}")
             failures.append(aid)
         else:
-            print(f"{aid:40s} ok  (wall {wall:.1f} ms, trend only)")
+            print(f"{aid:40s} ok  ({trend}, trend only)")
     for aid in cur_by_id:
         if aid not in base_by_id:
             print(f"{aid:40s} new assignment, no baseline — skipped")
 
     if failures:
         print(f"\nFAIL: Table I coverage drift in: {', '.join(failures)}")
-        print("If the change is intended (pattern/KB/generator change), "
-              "regenerate bench/baselines/BENCH_table1.json with "
-              "--update-baseline and commit it.")
+        print("If the change is intended (pattern/KB/generator or "
+              "interpreter step-accounting change), regenerate "
+              "bench/baselines/BENCH_table1.json with --update-baseline "
+              "and commit it.")
         return 1
     print("\nOK: Table I coverage counters match the baseline exactly")
     return 0

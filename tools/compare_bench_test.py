@@ -30,12 +30,14 @@ def report(indexed_total=100, ablation=50, assignments=None,
     }
 
 
-def table1_assignment(aid="assignment1", discrepancies=3, evaluated=198):
+def table1_assignment(aid="assignment1", discrepancies=3, evaluated=198,
+                      interp_steps=123456):
     return {"id": aid, "space": 1000, "patterns": 4, "constraints": 2,
             "sampled": 200, "evaluated": evaluated, "parse_failures": 2,
             "discrepancies": discrepancies, "paper_discrepancies": 4,
-            "avg_loc": 11.5, "avg_functional_us": 120.0,
-            "avg_match_us": 40.0, "wall_ms": 55.3}
+            "interp_steps": interp_steps, "avg_loc": 11.5,
+            "avg_functional_us": 120.0, "avg_match_us": 40.0,
+            "ns_per_step": 9.5, "wall_ms": 55.3}
 
 
 def table1_report(samples=200, assignments=None):
@@ -275,6 +277,35 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1)
         self.assertIn("DRIFT", result.stdout)
         self.assertIn("discrepancies 3 -> 9", result.stdout)
+
+    def test_table1_interp_steps_drift_fails(self):
+        base = self.write("base.json", table1_report())
+        for steps in (123455, 123457):
+            cur = self.write("cur.json", table1_report(
+                assignments=[table1_assignment(interp_steps=steps)]))
+            result = self.run_compare(base, cur)
+            self.assertEqual(result.returncode, 1)
+            self.assertIn(f"interp_steps 123456 -> {steps}", result.stdout)
+
+    def test_table1_ns_per_step_is_trend_only(self):
+        base = self.write("base.json", table1_report())
+        slower = table1_report()
+        slower["assignments"][0]["ns_per_step"] = 95.0
+        cur = self.write("cur.json", slower)
+        result = self.run_compare(base, cur)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("95.00 ns/step (baseline 9.50)", result.stdout)
+
+    def test_table1_baseline_without_interp_steps_fails_readably(self):
+        old = table1_report()
+        del old["assignments"][0]["interp_steps"]
+        base = self.write("base.json", old)
+        cur = self.write("cur.json", table1_report())
+        result = self.run_compare(base, cur)
+        self.assertEqual(result.returncode, 1)
+        combined = result.stdout + result.stderr
+        self.assertIn("interp_steps", combined)
+        self.assertNotIn("Traceback", combined)
 
     def test_table1_sample_count_mismatch_fails_readably(self):
         base = self.write("base.json", table1_report(samples=200))
