@@ -1,16 +1,17 @@
 #ifndef JFEED_SCHED_SHARDED_SCHEDULER_H_
 #define JFEED_SCHED_SHARDED_SCHEDULER_H_
 
-// Multi-tenant batch grading engine: one worker pool, one shard per
-// assignment, per-shard admission control.
+// The grading scheduler: one worker pool, one shard per assignment,
+// per-shard admission control. Every caller grades through it — jfeedd and
+// the ledger with many shards, and the batch callers (`grade --batch`,
+// bench_throughput, the chaos tests) through service::GradeBatchParallel,
+// which runs a one-shard scheduler whose quota is the batch size.
 //
-// The single-assignment BatchScheduler scales a fleet only by running one
-// process (and one worker pool) per assignment. The ShardedScheduler is the
-// multi-tenant split of that design: all assignments are loaded at
-// construction, every worker thread can grade any of them (pipelines are
-// created lazily per (worker, assignment)), and the *only* per-assignment
-// resource is an admission quota — a bound on how many of one assignment's
-// submissions may be in the system (queued or grading) at once.
+// All assignments are loaded at construction, every worker thread can grade
+// any of them (pipelines are created lazily per (worker, assignment)), and
+// the *only* per-assignment resource is an admission quota — a bound on how
+// many of one assignment's submissions may be in the system (queued or
+// grading) at once.
 //
 // That quota is the isolation mechanism for deadline-day spikes: when
 // assignment A's students resubmit in a burst, A's submissions beyond its
@@ -27,8 +28,8 @@
 // The unlabeled scheduler aggregates (jfeed_sched_jobs_total, queue depth,
 // busy/idle) keep working so /statusz and existing dashboards are unchanged.
 //
-// Destruction drains: every admitted submission is answered before workers
-// join, exactly like BatchScheduler.
+// Destruction drains: the queue closes, every admitted submission is
+// answered, then the workers join.
 
 #include <atomic>
 #include <condition_variable>
@@ -44,7 +45,6 @@
 #include "obs/trace_context.h"
 #include "sched/bounded_queue.h"
 #include "sched/result_cache.h"
-#include "sched/scheduler.h"
 #include "service/pipeline.h"
 #include "support/status.h"
 
@@ -52,10 +52,13 @@ namespace jfeed::sched {
 
 /// Tuning for one ShardedScheduler.
 struct ShardedSchedulerOptions {
-  /// Worker threads shared by every shard. Clamped to >= 1.
+  /// Worker threads shared by every shard. Each worker owns its private
+  /// GradingPipelines (and, via RegexCache::ThreadLocal(), a private regex
+  /// cache). Clamped to >= 1.
   int jobs = 4;
   /// Per-assignment admission quota: submissions of one assignment that may
   /// be in the system (queued or grading) before further ones are shed.
+  /// Clamped to >= 1.
   size_t shard_queue_capacity = 64;
   /// Content-addressed result cache shared across shards (keyed by
   /// (assignment, token fingerprint), so tenants never cross-hit).
@@ -66,6 +69,21 @@ struct ShardedSchedulerOptions {
   /// submissions share a method body still never cross-hit.
   bool use_method_cache = false;
   size_t method_cache_capacity = 8192;
+};
+
+/// Per-batch accounting returned by GradeMixedBatch.
+struct BatchStats {
+  size_t submissions = 0;
+  size_t graded = 0;       ///< Submissions that actually ran the pipeline.
+  size_t cache_hits = 0;   ///< Served from the cross-batch result cache.
+  size_t dedup_hits = 0;   ///< Coalesced onto an in-flight duplicate.
+
+  /// Fraction of submissions that did not pay for a grade.
+  double HitRate() const {
+    return submissions == 0
+               ? 0.0
+               : static_cast<double>(cache_hits + dedup_hits) / submissions;
+  }
 };
 
 /// One input line of a mixed-assignment batch.
@@ -127,7 +145,7 @@ class ShardedScheduler {
   std::vector<MixedOutcome> GradeMixedBatch(
       const std::vector<MixedItem>& items, BatchStats* stats = nullptr);
 
-  int jobs() const { return jobs_; }
+  int jobs() const { return options_.jobs; }
   size_t shard_count() const { return shards_.size(); }
   const ResultCache* cache() const { return cache_.get(); }
   size_t shard_queue_capacity() const { return options_.shard_queue_capacity; }
@@ -174,8 +192,7 @@ class ShardedScheduler {
                const obs::TraceContext& trace, uint64_t* ticket);
 
   service::PipelineOptions pipeline_options_;
-  ShardedSchedulerOptions options_;
-  int jobs_;
+  ShardedSchedulerOptions options_;  ///< jobs and quota already clamped.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unordered_map<std::string, size_t> shard_by_id_;
   std::shared_ptr<ResultCache> cache_;  ///< Null when caching is off.
@@ -190,5 +207,26 @@ class ShardedScheduler {
 };
 
 }  // namespace jfeed::sched
+
+namespace jfeed::service {
+
+/// Service-level parallel counterpart of GradingPipeline::GradeBatch, and
+/// the one batch front end (`grade --batch`, bench_throughput, the chaos
+/// tests): element i of the result corresponds to source i, and every
+/// submission yields exactly one outcome. Runs a one-shard
+/// sched::ShardedScheduler whose admission quota is the batch size, so no
+/// line is ever shed; identical (token-normalized) sources coalesce onto one
+/// pipeline run unless the result cache is off or a fault campaign runs.
+/// `ids` (parallel to `sources`, or empty) name the flight-recorder events;
+/// `stats`, when given, receives the dedup/cache accounting.
+std::vector<GradingOutcome> GradeBatchParallel(
+    const kb::Assignment& assignment, const std::vector<std::string>& sources,
+    const PipelineOptions& pipeline_options = PipelineOptions(),
+    sched::ShardedSchedulerOptions scheduler_options =
+        sched::ShardedSchedulerOptions(),
+    const std::vector<std::string>& ids = {},
+    sched::BatchStats* stats = nullptr);
+
+}  // namespace jfeed::service
 
 #endif  // JFEED_SCHED_SHARDED_SCHEDULER_H_
